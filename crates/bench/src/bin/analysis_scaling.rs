@@ -20,19 +20,28 @@
 //! * **Disclosure risk** — a seeded user population assessed per user via
 //!   the scan path (`assess_scan`) against the batch API
 //!   (`analyse_users_batch`) over one index, swept over thread counts.
+//! * **Disclosure at population scale** — one `skewed_population` of 65,536
+//!   users (4,096 under `--quick`) assessed by one `analyse_users_batch`
+//!   call over the healthcare potential-reads index, recorded as users/s
+//!   (the median of three calls) in the report's `population` array.
 //!
 //! Every scenario first cross-checks that the indexed results equal the
 //! scan-path results (reports compare structurally), so the benchmark
-//! doubles as a coarse differential test.
+//! doubles as a coarse differential test. The population row checks a
+//! strided sample of its own timed reports against `assess_scan` before it
+//! records anything.
 //!
 //! ```text
-//! analysis_scaling [--quick] [--min-speedup X] [--out PATH] [--threads N]
+//! analysis_scaling [--quick] [--min-speedup X] [--min-population-users-per-sec X]
+//!                  [--out PATH] [--threads N]
 //! ```
 //!
 //! `--quick` is the CI smoke configuration (smaller models, shorter
 //! measurement targets). `--min-speedup X` exits non-zero if any guarded
-//! row's `check_speedup` falls below `X`. `--threads N` pins the batch
-//! sweeps to one count. See `docs/PERFORMANCE.md`.
+//! row's `check_speedup` falls below `X`. `--min-population-users-per-sec X`
+//! exits non-zero if the population row assesses fewer than `X` users/s.
+//! `--threads N` pins the batch sweeps and the population row to one count.
+//! See `docs/PERFORMANCE.md`.
 
 use privacy_bench::{scaled_system, time_runs, write_report};
 use privacy_compliance::{
@@ -42,11 +51,14 @@ use privacy_compliance::{
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_lts::{ActionKind, GeneratorConfig, Lts, LtsIndex};
 use privacy_model::{ActorId, Catalog, FieldId, ModelError, Purpose, ServiceId, UserProfile};
-use privacy_risk::DisclosureAnalysis;
-use privacy_synth::{random_model, random_profiles, ModelGeneratorConfig, ProfileGeneratorConfig};
+use privacy_risk::{DisclosureAnalysis, DisclosureReport};
+use privacy_synth::{
+    random_model, random_profiles, skewed_population, ModelGeneratorConfig, ProfileGeneratorConfig,
+    SkewedPopulationConfig,
+};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One benchmark scenario.
 struct Scenario {
@@ -77,9 +89,29 @@ struct Row {
     disclosure_batch: Vec<BatchSample>,
 }
 
+/// The disclosure audit of one skewed population over the healthcare
+/// potential-reads index.
+struct PopulationRow {
+    users: usize,
+    threads: usize,
+    states: usize,
+    transitions: usize,
+    findings: usize,
+    scan_checked: usize,
+    users_per_sec: f64,
+}
+
 /// Rows below this transition count time per-call setup, not probe
 /// throughput; the regression guard skips them.
 const GUARD_MIN_TRANSITIONS: usize = 10_000;
+
+/// Population sizes of the population row (full run, `--quick`).
+const POPULATION_USERS: usize = 65_536;
+const POPULATION_USERS_QUICK: usize = 4_096;
+
+/// Users of the population row checked against the scan oracle, strided
+/// over the population (each scan walks all 1.4M transitions per triple).
+const POPULATION_SCAN_SAMPLE: usize = 8;
 
 impl Row {
     /// Scan time over one full indexed check (build + probes): the honest
@@ -110,6 +142,7 @@ impl Row {
 struct Options {
     quick: bool,
     min_speedup: f64,
+    min_population_users_per_sec: f64,
     out: String,
     threads: Option<usize>,
     force_baseline: bool,
@@ -119,6 +152,7 @@ fn parse_options() -> Result<Options, String> {
     let mut options = Options {
         quick: false,
         min_speedup: 0.0,
+        min_population_users_per_sec: 0.0,
         out: "BENCH_analysis.json".to_owned(),
         threads: None,
         force_baseline: false,
@@ -131,6 +165,12 @@ fn parse_options() -> Result<Options, String> {
                 let value = args.next().ok_or("--min-speedup needs a value")?;
                 options.min_speedup =
                     value.parse().map_err(|_| format!("bad --min-speedup value `{value}`"))?;
+            }
+            "--min-population-users-per-sec" => {
+                let value = args.next().ok_or("--min-population-users-per-sec needs a value")?;
+                options.min_population_users_per_sec = value
+                    .parse()
+                    .map_err(|_| format!("bad --min-population-users-per-sec value `{value}`"))?;
             }
             "--out" => options.out = args.next().ok_or("--out needs a path")?,
             "--force-baseline" => options.force_baseline = true,
@@ -398,6 +438,63 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
+/// Assesses one skewed population over the healthcare potential-reads index
+/// in a single batch call, after checking a strided sample of the timed
+/// reports against the scan oracle.
+fn population_row(options: &Options) -> Result<PopulationRow, String> {
+    let system = casestudy::healthcare().map_err(|e| format!("population: {e}"))?;
+    let config = GeneratorConfig::default().with_max_states(5_000_000).with_potential_reads();
+    let lts = system.generate_lts_with(&config).map_err(|e| format!("population: {e}"))?;
+    let index = LtsIndex::build(&lts);
+    let catalog = system.catalog();
+    let users = skewed_population(&SkewedPopulationConfig {
+        count: if options.quick { POPULATION_USERS_QUICK } else { POPULATION_USERS },
+        seed: 7,
+        services: catalog.services().map(|s| s.id().clone()).collect(),
+        fields: catalog.fields().map(|f| f.id().clone()).collect(),
+        ..SkewedPopulationConfig::default()
+    })
+    .profiles;
+    let analysis = DisclosureAnalysis::new(catalog, system.policy());
+    let threads = privacy_lts::batch::resolve_threads(options.threads);
+
+    // Three timed calls, each dropping the previous reports first so only
+    // one population of reports is ever held; the median is recorded.
+    let mut secs = Vec::new();
+    let mut reports = Vec::new();
+    for _ in 0..3 {
+        drop(std::mem::take(&mut reports));
+        let started = Instant::now();
+        reports = analysis.analyse_users_batch(&index, &users, Some(threads));
+        secs.push(started.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+
+    let stride = (users.len() / POPULATION_SCAN_SAMPLE).max(1);
+    let mut scan_checked = 0;
+    for (user, report) in users.iter().zip(&reports).step_by(stride) {
+        if analysis.assess_scan(&lts, user) != *report {
+            return Err(format!("population: batch and scan reports disagree for {}", user.id()));
+        }
+        scan_checked += 1;
+    }
+
+    let row = PopulationRow {
+        users: users.len(),
+        threads,
+        states: lts.state_count(),
+        transitions: lts.transition_count(),
+        findings: reports.iter().map(DisclosureReport::len).sum(),
+        scan_checked,
+        users_per_sec: users.len() as f64 / secs[1],
+    };
+    eprintln!(
+        "{:<36} {:>8} users at t={} | {:>9} findings | scan-checked {} | {:>10.0} users/s",
+        "population", row.users, row.threads, row.findings, row.scan_checked, row.users_per_sec
+    );
+    Ok(row)
+}
+
 /// Minimum compliance check speedup over the guarded rows; 0.0 when no row
 /// is guarded (rendered finitely in the JSON — the guard in `main` refuses
 /// to pass vacuously instead).
@@ -413,7 +510,12 @@ fn render_batch(samples: &[BatchSample]) -> String {
     format!("[{}]", entries.join(", "))
 }
 
-fn json_report(options: &Options, rows: &[Row], min_speedup: f64) -> String {
+fn json_report(
+    options: &Options,
+    rows: &[Row],
+    population: &PopulationRow,
+    min_speedup: f64,
+) -> String {
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -458,6 +560,20 @@ fn json_report(options: &Options, rows: &[Row], min_speedup: f64) -> String {
         );
         out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
+    out.push_str("  ],\n  \"population\": [\n");
+    let _ = writeln!(
+        out,
+        "    {{\"name\": \"healthcare_potential_reads_skewed\", \"users\": {}, \"threads\": {}, \
+         \"states\": {}, \"transitions\": {}, \"findings\": {}, \"scan_checked\": {}, \
+         \"users_per_sec\": {:.1}}}",
+        population.users,
+        population.threads,
+        population.states,
+        population.transitions,
+        population.findings,
+        population.scan_checked,
+        population.users_per_sec
+    );
     out.push_str("  ]\n}\n");
     out
 }
@@ -471,16 +587,17 @@ fn main() -> ExitCode {
         }
     };
 
-    let rows = match run(&options) {
-        Ok(rows) => rows,
-        Err(message) => {
-            eprintln!("analysis_scaling: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (rows, population) =
+        match run(&options).and_then(|rows| Ok((rows, population_row(&options)?))) {
+            Ok(measured) => measured,
+            Err(message) => {
+                eprintln!("analysis_scaling: {message}");
+                return ExitCode::FAILURE;
+            }
+        };
 
     let min_observed = min_guarded_speedup(&rows);
-    let report = json_report(&options, &rows, min_observed);
+    let report = json_report(&options, &rows, &population, min_observed);
     if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
         eprintln!("analysis_scaling: {message}");
         return ExitCode::FAILURE;
@@ -502,6 +619,14 @@ fn main() -> ExitCode {
              {min_observed:.2}x over rows with >= {GUARD_MIN_TRANSITIONS} transitions is below \
              the required {:.2}x",
             options.min_speedup
+        );
+        return ExitCode::FAILURE;
+    }
+    if population.users_per_sec < options.min_population_users_per_sec {
+        eprintln!(
+            "analysis_scaling: regression guard failed: the population row assessed {:.0} \
+             users/s, below the required {:.0}",
+            population.users_per_sec, options.min_population_users_per_sec
         );
         return ExitCode::FAILURE;
     }

@@ -18,25 +18,39 @@
 //!   posting-list lookup in a columnar [`LtsIndex`] and the existing-read
 //!   probe is a per-(actor, action) posting list filtered by a field bitset,
 //!   instead of one walk over all reachable states / all transitions per
-//!   pair. One index build is amortised over every (datastore, field, actor)
-//!   triple — and, with the batch API, over every user of a population.
+//!   pair.
 //! * **Label scans** ([`DisclosureAnalysis::analyse_scan`],
 //!   [`DisclosureAnalysis::assess_scan`]) — the original implementation,
 //!   retained verbatim for differential testing. Both strategies produce
 //!   identical reports (and, for the mutating entry points, identical
 //!   annotated LTSs); the property tests in `tests/index_differential.rs`
 //!   pin that equivalence over random models.
+//!
+//! The read-only assessment is factored into a user-independent and a
+//! user-dependent half. Everything about a (datastore, field, actor) triple
+//! except its impact depends only on the model: whether the actor may read
+//! the field, how many states expose it, the likelihood, and the existing
+//! reads. [`DisclosureAnalysis::assess`] and
+//! [`DisclosureAnalysis::analyse_users_batch`] therefore first build one
+//! **exposure table** per index, with one entry per readable, exposed triple
+//! and one shared `Arc<[TransitionId]>` read list per (actor, field) pair.
+//! Per user they only partition the actors and categorise the impact of the
+//! entries naming non-allowed actors. Every report of a batch points at the
+//! table's read lists instead of holding its own copy.
 
 use crate::likelihood::LikelihoodModel;
 use crate::matrix::RiskMatrix;
 use crate::sensitivity::SensitivityModel;
 use privacy_access::{AccessPolicy, Permission};
+use privacy_lts::space::VarKind;
 use privacy_lts::{ActionKind, Lts, LtsIndex, RiskAnnotation, TransitionId, TransitionLabel};
 use privacy_model::{
-    ActorId, Catalog, DatastoreId, FieldId, Likelihood, RiskLevel, Severity, UserProfile,
+    Actor, ActorId, Catalog, DatastoreId, FieldId, Likelihood, RiskLevel, Sensitivity, Severity,
+    UserProfile,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// One unwanted-disclosure finding: a non-allowed actor that can identify a
 /// field of a datastore the user's data reaches.
@@ -49,7 +63,7 @@ pub struct DisclosureFinding {
     likelihood: Likelihood,
     probability: f64,
     level: RiskLevel,
-    annotated_transitions: Vec<TransitionId>,
+    annotated_transitions: Arc<[TransitionId]>,
     exposed_states: usize,
 }
 
@@ -92,7 +106,9 @@ impl DisclosureFinding {
     /// The transitions (existing reads and added potential reads) that were
     /// annotated with this finding's risk. The read-only entry points
     /// ([`DisclosureAnalysis::assess`] and the batch API) list the matching
-    /// existing reads without annotating them and add no potential reads.
+    /// existing reads without annotating them and add no potential reads;
+    /// their lists are shared by every finding of the same (actor, field)
+    /// pair, across users.
     pub fn annotated_transitions(&self) -> &[TransitionId] {
         &self.annotated_transitions
     }
@@ -209,8 +225,29 @@ pub struct DisclosureAnalysis<'a> {
     likelihood: LikelihoodModel,
 }
 
+/// The user-independent part of the read-only assessment, built once per
+/// index and walked per user.
+struct ExposureTable<'a> {
+    entries: Vec<Exposure<'a>>,
+    /// One existing-read list per distinct (actor, field) pair, shared by
+    /// every entry and every finding naming the pair.
+    reads: Vec<Arc<[TransitionId]>>,
+}
+
+/// The user-independent part of one (datastore, field, actor) triple.
+struct Exposure<'a> {
+    datastore: &'a DatastoreId,
+    field: &'a FieldId,
+    actor: &'a ActorId,
+    exposed_states: usize,
+    probability: f64,
+    likelihood: Likelihood,
+    /// The pair's slot in [`ExposureTable::reads`].
+    reads: usize,
+}
+
 /// The risk dimensions of one (datastore, field, actor) triple, computed
-/// identically by every strategy.
+/// identically by every strategy on the mutating paths and the scan oracle.
 struct TripleRisk {
     severity: Severity,
     likelihood: Likelihood,
@@ -269,13 +306,23 @@ impl<'a> DisclosureAnalysis<'a> {
     ) -> TripleRisk {
         let impact = sensitivity.relative_sensitivity(field, actor);
         let probability = self.likelihood.probability(actor, datastore);
-        let severity = self.matrix.categorise_impact(impact);
         let likelihood_cat = self.matrix.categorise_likelihood(probability);
-        let level = self.matrix.level(severity, likelihood_cat);
+        let (severity, level) = self.severity_and_level(impact, likelihood_cat);
         let annotation = RiskAnnotation::dimensions(severity, likelihood_cat, level)
             .with_score(impact.value().max(probability))
             .with_note(format!("unwanted disclosure of {field} to non-allowed actor {actor}"));
         TripleRisk { severity, likelihood: likelihood_cat, probability, level, annotation }
+    }
+
+    /// Categorises a triple's impact and combines it with its likelihood
+    /// category: the user-dependent step of every strategy.
+    fn severity_and_level(
+        &self,
+        impact: Sensitivity,
+        likelihood: Likelihood,
+    ) -> (Severity, RiskLevel) {
+        let severity = self.matrix.categorise_impact(impact);
+        (severity, self.matrix.level(severity, likelihood))
     }
 
     /// Runs the analysis for one user, annotating the LTS in place. Builds a
@@ -334,6 +381,7 @@ impl<'a> DisclosureAnalysis<'a> {
                     // transition this analysis already added for the pair.
                     let existing: Vec<TransitionId> = existing_reads(index, actor, field)
                         .into_iter()
+                        .map(|tx| TransitionId(tx as usize))
                         .chain(
                             delta
                                 .iter()
@@ -377,7 +425,7 @@ impl<'a> DisclosureAnalysis<'a> {
                         likelihood: risk.likelihood,
                         probability: risk.probability,
                         level: risk.level,
-                        annotated_transitions: annotated,
+                        annotated_transitions: annotated.into(),
                         exposed_states: exposed.len(),
                     });
                 }
@@ -392,51 +440,93 @@ impl<'a> DisclosureAnalysis<'a> {
     /// findings (actors, fields, datastores, risk dimensions, exposed-state
     /// counts) to [`DisclosureAnalysis::analyse`], except that existing read
     /// transitions are *listed* rather than annotated and no potential-read
-    /// risk transitions are added. This is the per-user unit of the batch
-    /// API, where many users share one immutable index — the snapshot
-    /// answers every probe, so no LTS reference is needed.
+    /// risk transitions are added. The snapshot answers every probe, so no
+    /// LTS reference is needed. Builds the exposure table for this one user;
+    /// [`DisclosureAnalysis::analyse_users_batch`] builds it once for many.
     pub fn assess(&self, index: &LtsIndex, user: &UserProfile) -> DisclosureReport {
-        let sensitivity = SensitivityModel::new(self.catalog, user);
-        let (allowed, non_allowed) = self.actor_partition(&sensitivity);
+        self.assess_exposures(&self.exposure_table(index, Some(1)), user)
+    }
 
-        let mut findings = Vec::new();
+    /// The exposure table of `index`: one entry per (datastore, field,
+    /// actor) triple where an identifying actor may read the field and could
+    /// identify it in some reachable state, in the order the per-triple
+    /// loops of the other strategies visit them (datastore, schema field,
+    /// actor). The existing-read list of each distinct (actor, field) pair
+    /// is built once, the pairs spread over `threads`.
+    fn exposure_table(&self, index: &LtsIndex, threads: Option<usize>) -> ExposureTable<'a> {
+        let actors: BTreeSet<&'a ActorId> =
+            self.catalog.identifying_actors().map(Actor::id).collect();
+        let mut slots: BTreeMap<(&'a ActorId, &'a FieldId), usize> = BTreeMap::new();
+        let mut pairs: Vec<(&'a ActorId, &'a FieldId)> = Vec::new();
+        let mut entries = Vec::new();
         for datastore in self.catalog.datastores() {
-            let schema = match self.catalog.schema(datastore.schema()) {
-                Some(schema) => schema,
-                None => continue,
+            let Some(schema) = self.catalog.schema(datastore.schema()) else {
+                continue;
             };
             for field in schema.fields() {
-                for actor in &non_allowed {
+                for &actor in &actors {
                     if !self.policy.can(actor, Permission::Read, datastore.id(), field) {
                         continue;
                     }
                     // Only the exposed-state *count* is reported, so the O(1)
                     // per-variable counter suffices — no list materialises.
-                    let exposed = index.count_states_of_variable(
-                        actor,
-                        field,
-                        privacy_lts::space::VarKind::Could,
-                    );
-                    if exposed == 0 {
+                    let exposed_states =
+                        index.count_states_of_variable(actor, field, VarKind::Could);
+                    if exposed_states == 0 {
                         continue;
                     }
-                    let risk = self.triple_risk(&sensitivity, datastore.id(), field, actor);
-                    let annotated = existing_reads(index, actor, field);
-                    findings.push(DisclosureFinding {
-                        actor: actor.clone(),
-                        field: field.clone(),
-                        datastore: datastore.id().clone(),
-                        severity: risk.severity,
-                        likelihood: risk.likelihood,
-                        probability: risk.probability,
-                        level: risk.level,
-                        annotated_transitions: annotated,
-                        exposed_states: exposed,
+                    let probability = self.likelihood.probability(actor, datastore.id());
+                    let slot = *slots.entry((actor, field)).or_insert_with(|| {
+                        pairs.push((actor, field));
+                        pairs.len() - 1
+                    });
+                    entries.push(Exposure {
+                        datastore: datastore.id(),
+                        field,
+                        actor,
+                        exposed_states,
+                        probability,
+                        likelihood: self.matrix.categorise_likelihood(probability),
+                        reads: slot,
                     });
                 }
             }
         }
+        let reads = privacy_lts::batch::parallel_map(&pairs, threads, |&(actor, field)| {
+            // Collected as `u32` first so the shared list is allocated once,
+            // at its exact length.
+            let ids = existing_reads(index, actor, field);
+            ids.iter().map(|&tx| TransitionId(tx as usize)).collect::<Arc<[_]>>()
+        });
+        ExposureTable { entries, reads }
+    }
 
+    /// The per-user half of [`DisclosureAnalysis::assess`]: keeps the
+    /// table's entries that name a non-allowed actor and categorises their
+    /// impact for this user.
+    fn assess_exposures(&self, table: &ExposureTable<'_>, user: &UserProfile) -> DisclosureReport {
+        let sensitivity = SensitivityModel::new(self.catalog, user);
+        let (allowed, non_allowed) = self.actor_partition(&sensitivity);
+        let mut findings: Vec<DisclosureFinding> = table
+            .entries
+            .iter()
+            .filter(|exposure| non_allowed.contains(exposure.actor))
+            .map(|exposure| {
+                let impact = sensitivity.relative_sensitivity(exposure.field, exposure.actor);
+                let (severity, level) = self.severity_and_level(impact, exposure.likelihood);
+                DisclosureFinding {
+                    actor: exposure.actor.clone(),
+                    field: exposure.field.clone(),
+                    datastore: exposure.datastore.clone(),
+                    severity,
+                    likelihood: exposure.likelihood,
+                    probability: exposure.probability,
+                    level,
+                    annotated_transitions: Arc::clone(&table.reads[exposure.reads]),
+                    exposed_states: exposure.exposed_states,
+                }
+            })
+            .collect();
         sort_findings(&mut findings);
         DisclosureReport { user: user.clone(), allowed, non_allowed, findings }
     }
@@ -488,7 +578,7 @@ impl<'a> DisclosureAnalysis<'a> {
                         likelihood: risk.likelihood,
                         probability: risk.probability,
                         level: risk.level,
-                        annotated_transitions: annotated,
+                        annotated_transitions: annotated.into(),
                         exposed_states: exposed.len(),
                     });
                 }
@@ -502,15 +592,17 @@ impl<'a> DisclosureAnalysis<'a> {
     /// Assesses many user profiles over **one** LTS + index, fanning the
     /// population out over `threads` crossbeam scoped threads (`None` = one
     /// per CPU). Reports come back in user order and are identical to
-    /// calling [`DisclosureAnalysis::assess`] per user — the parallelism
-    /// only partitions the user list.
+    /// calling [`DisclosureAnalysis::assess`] per user. The exposure table
+    /// is built once and shared by every thread, so all reports point at
+    /// the same read lists.
     pub fn analyse_users_batch(
         &self,
         index: &LtsIndex,
         users: &[UserProfile],
         threads: Option<usize>,
     ) -> Vec<DisclosureReport> {
-        privacy_lts::batch::parallel_map(users, threads, |user| self.assess(index, user))
+        let table = self.exposure_table(index, threads);
+        privacy_lts::batch::parallel_map(users, threads, |user| self.assess_exposures(&table, user))
     }
 
     /// The original full-scan mutating analysis, retained for differential
@@ -591,7 +683,7 @@ impl<'a> DisclosureAnalysis<'a> {
                         likelihood: risk.likelihood,
                         probability: risk.probability,
                         level: risk.level,
-                        annotated_transitions: annotated,
+                        annotated_transitions: annotated.into(),
                         exposed_states: exposed.len(),
                     });
                 }
@@ -603,22 +695,30 @@ impl<'a> DisclosureAnalysis<'a> {
     }
 }
 
-/// The snapshot's existing `read` transitions by `actor` involving `field`,
-/// ascending — the per-(actor, action) posting list filtered by the field's
-/// bitset bit. The field resolves through the interner once per call, not
-/// once per posting entry; an unknown field short-circuits to empty.
-fn existing_reads(index: &LtsIndex, actor: &ActorId, field: &FieldId) -> Vec<TransitionId> {
-    index
-        .field_index(field)
-        .map(|field_idx| {
-            index
-                .transitions_by_actor_of_kind(actor, ActionKind::Read)
-                .iter()
-                .filter(|&&tx| index.involves_field(tx, field_idx))
-                .map(|&tx| TransitionId(tx as usize))
-                .collect()
-        })
-        .unwrap_or_default()
+/// The ids of the snapshot's existing `read` transitions by `actor`
+/// involving `field`, ascending. The per-(actor, read) posting list and the
+/// per-field posting list both hold exactly these ids among others, in
+/// ascending order, so the shorter one is filtered by the other's predicate. The actor and field
+/// resolve through the interners once per call; either one unknown
+/// short-circuits to empty.
+fn existing_reads(index: &LtsIndex, actor: &ActorId, field: &FieldId) -> Vec<u32> {
+    let (Some(actor_idx), Some(field_idx)) = (index.actor_index(actor), index.field_index(field))
+    else {
+        return Vec::new();
+    };
+    let reads = index.transitions_by_actor_of_kind(actor, ActionKind::Read);
+    let involving = index.transitions_involving_field(field);
+    if reads.len() <= involving.len() {
+        reads.iter().copied().filter(|&tx| index.involves_field(tx, field_idx)).collect()
+    } else {
+        involving
+            .iter()
+            .copied()
+            .filter(|&tx| {
+                index.actor_index_of(tx) == actor_idx && index.action_of(tx) == ActionKind::Read
+            })
+            .collect()
+    }
 }
 
 fn sort_findings(findings: &mut [DisclosureFinding]) {
@@ -871,5 +971,37 @@ mod tests {
             assert_eq!(analysis.analyse_users_batch(&index, &users, threads), expected);
         }
         assert!(analysis.analyse_users_batch(&index, &[], Some(2)).is_empty());
+    }
+
+    #[test]
+    fn batch_findings_share_one_read_list_per_actor_field_pair() {
+        let (catalog, system, policy) = fixture();
+        let config = GeneratorConfig::default().with_potential_reads();
+        let lts = generate_lts(&catalog, &system, &policy, &config).unwrap();
+        let index = LtsIndex::build(&lts);
+        let analysis = DisclosureAnalysis::new(&catalog, &policy);
+        // Two users who consent to nothing, assessed on different threads:
+        // every identifying actor is non-allowed for both.
+        let users = [UserProfile::new("patient-2"), UserProfile::new("patient-3")];
+        let reports = analysis.analyse_users_batch(&index, &users, Some(2));
+        let (first, second) = (reports[0].findings(), reports[1].findings());
+        assert!(!first.is_empty());
+        assert_eq!(first.len(), second.len());
+        for (a, b) in first.iter().zip(second) {
+            assert_eq!((a.actor(), a.field()), (b.actor(), b.field()));
+            assert_eq!(
+                a.annotated_transitions().as_ptr(),
+                b.annotated_transitions().as_ptr(),
+                "{} / {}: each report holds its own copy of the read list",
+                a.actor(),
+                a.field()
+            );
+        }
+        let admin_reads = first
+            .iter()
+            .find(|f| f.actor().as_str() == "Administrator" && f.field().as_str() == "Diagnosis")
+            .expect("the administrator can read the diagnosis")
+            .annotated_transitions();
+        assert!(!admin_reads.is_empty(), "potential reads give the pair existing reads");
     }
 }

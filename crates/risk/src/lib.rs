@@ -22,7 +22,11 @@
 //!   through the columnar [`privacy_lts::LtsIndex`] (with the original scan
 //!   strategy retained for differential testing), and
 //!   [`DisclosureAnalysis::analyse_users_batch`] assesses whole user
-//!   populations over one index build in parallel;
+//!   populations over one index build in parallel. The read-only assessment
+//!   builds one exposure table per index: the user-independent facts of
+//!   every readable, exposed (datastore, field, actor) triple, with one
+//!   existing-read list per (actor, field) pair that every report shares.
+//!   Per user only the actor partition and the impact remain;
 //! * [`pseudonym`] — the pseudonymisation (value) risk analysis (Case Study
 //!   B, Table I, Fig. 4): computes per-record value risks for each set of
 //!   quasi-identifiers readable by an adversary actor, counts policy
